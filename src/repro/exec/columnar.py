@@ -102,6 +102,11 @@ _SCHEMA_KINDS = {
     "VARCHAR": "U", "CHAR": "U", "DATE": "U", "BOOLEAN": "b",
 }
 
+#: Integers up to this magnitude convert to float64 exactly.
+_FLOAT_EXACT_INT = 2**53
+
+_COMPARISONS = frozenset(("=", "<>", "<", "<=", ">", ">="))
+
 #: Nested-loop joins materialise the cross product in chunks of at most
 #: this many candidate pairs (bounds peak memory, not results).
 _NLJ_CHUNK_PAIRS = 1 << 20
@@ -175,11 +180,6 @@ class Column:
             for i in np.flatnonzero(self.mask).tolist():
                 out[i] = None
         return out
-
-    def nbytes(self) -> int:
-        return self.values.nbytes + (
-            self.mask.nbytes if self.mask is not None else 0
-        )
 
 
 _KIND_OF_TYPE = {bool: "b", int: "i", float: "f", str: "U"}
@@ -270,19 +270,67 @@ def column_from_values(values: Sequence, kind: Optional[str] = None) -> Column:
     return Column(arr, mask)
 
 
+class _Selection:
+    """Row positions into dense base columns, applied only when read.
+
+    Columns taken together share one selection object, so a chain of
+    filters, joins and sorts composes one int index array per source
+    side instead of gathering every column at every operator.  ``-1``
+    marks a NULL pad (the unmatched rows of a LEFT join); ``padded``
+    says whether the array may hold any.
+    """
+
+    __slots__ = ("index", "padded")
+
+    def __init__(self, index: np.ndarray, padded: bool = False):
+        self.index = index
+        self.padded = padded
+
+    def then(self, indices: np.ndarray, padded: bool) -> "_Selection":
+        """This selection followed by a take of ``indices``."""
+        if not padded:
+            return _Selection(self.index[indices], self.padded)
+        pad = indices < 0
+        index = self.index[np.where(pad, 0, indices)]
+        index[pad] = -1
+        return _Selection(index, True)
+
+    def gather(self, base: Column) -> Column:
+        index = self.index
+        if not self.padded:
+            return base.take(index)
+        pad = index < 0
+        safe = np.where(pad, 0, index)
+        mask = pad if base.mask is None else base.mask[safe] | pad
+        return Column(base.values[safe], mask)
+
+
 class ColumnBatch:
     """A batch of rows in columnar form.
 
-    ``columns`` may contain ``None`` placeholders for columns that were
-    never materialised (join candidate batches only build the columns a
-    residual references); such a batch supports expression evaluation
-    over the materialised columns but not ``to_rows``.
+    Column ``i`` is the dense base column ``columns[i]`` seen through the
+    pending selection ``sels[i]`` (``None``: the base is the column
+    itself).  Takes — filters, joins, sorts — only compose selections;
+    :meth:`column` gathers values and null mask the first time something
+    reads the column (expression evaluation, key encoding, sort keys,
+    ``to_rows``) and caches the dense result in place, so a column that
+    nothing downstream reads is never gathered.
+
+    ``columns`` may also hold ``None`` placeholders (see :meth:`only`):
+    such a batch supports expression evaluation over the columns that
+    are present but not ``to_rows``.
     """
 
-    __slots__ = ("columns", "length")
+    __slots__ = ("columns", "sels", "length")
 
-    def __init__(self, columns: Sequence[Optional[Column]], length: int):
+    def __init__(
+        self,
+        columns: Sequence[Optional[Column]],
+        length: int,
+        sels: Optional[Sequence[Optional[_Selection]]] = None,
+    ):
         self.columns = list(columns)
+        self.sels = [None] * len(self.columns) if sels is None else list(sels)
         self.length = length
 
     @property
@@ -295,21 +343,66 @@ class ColumnBatch:
             raise ExecutionError(
                 f"column {index} was not materialised in this batch"
             )
+        sel = self.sels[index]
+        if sel is not None:
+            col = sel.gather(col)
+            self.columns[index] = col
+            self.sels[index] = None
         return col
 
-    def take(self, indices: np.ndarray) -> "ColumnBatch":
-        return ColumnBatch(
-            [c.take(indices) if c is not None else None for c in self.columns],
-            int(len(indices)),
-        )
+    def take(self, indices: np.ndarray, padded: bool = False) -> "ColumnBatch":
+        """The rows at ``indices`` (``-1`` pads a NULL row when
+        ``padded``), as pending selections: one composed index array per
+        distinct selection, no column gathered."""
+        n = int(len(indices))
+        if padded and self.length == 0:
+            # Every row is a pad (a LEFT join against an empty right
+            # side): there is no row to gather a fill from.
+            null = _literal_column(None, n)
+            return ColumnBatch(
+                [null if c is not None else None for c in self.columns], n
+            )
+        fresh = _Selection(indices, padded)
+        composed: Dict[int, _Selection] = {}
+        sels = []
+        for sel in self.sels:
+            if sel is None:
+                sels.append(fresh)
+                continue
+            out = composed.get(id(sel))
+            if out is None:
+                out = composed[id(sel)] = sel.then(indices, padded)
+            sels.append(out)
+        return ColumnBatch(self.columns, n, sels)
 
     def slice(self, start: int, stop: Optional[int]) -> "ColumnBatch":
         end = self.length if stop is None else min(stop, self.length)
         start = min(start, self.length)
+        sliced: Dict[int, _Selection] = {}
+        columns: List[Optional[Column]] = []
+        sels: List[Optional[_Selection]] = []
+        for col, sel in zip(self.columns, self.sels):
+            if sel is None:
+                columns.append(None if col is None else col.slice(start, stop))
+                sels.append(None)
+                continue
+            out = sliced.get(id(sel))
+            if out is None:
+                out = sliced[id(sel)] = _Selection(
+                    sel.index[start:stop], sel.padded
+                )
+            columns.append(col)
+            sels.append(out)
+        return ColumnBatch(columns, max(0, end - start), sels)
+
+    def only(self, refs) -> "ColumnBatch":
+        """The same rows with every column outside ``refs`` replaced by a
+        ``None`` placeholder — the input of an expression that reads
+        only ``refs``, so later takes compose no other selection."""
         return ColumnBatch(
-            [c.slice(start, stop) if c is not None else None
-             for c in self.columns],
-            max(0, end - start),
+            [c if i in refs else None for i, c in enumerate(self.columns)],
+            self.length,
+            [s if i in refs else None for i, s in enumerate(self.sels)],
         )
 
     def to_rows(self) -> Rows:
@@ -329,9 +422,6 @@ class ColumnBatch:
         if not lists:
             return [() for _ in range(self.length)]
         return list(zip(*lists))
-
-    def nbytes(self) -> int:
-        return sum(c.nbytes() for c in self.columns if c is not None)
 
 
 def from_rows(
@@ -376,6 +466,9 @@ def concat_columns(columns: Sequence[Column]) -> Column:
 def concat_batches(batches: Sequence[ColumnBatch], width: int) -> ColumnBatch:
     if not batches:
         return from_rows([], width)
+    # An empty part (e.g. an empty exchange stream, untyped object
+    # columns) adds no values, so it must not demote the others' kinds.
+    batches = [b for b in batches if b.length] or batches[:1]
     if len(batches) == 1:
         return batches[0]
     columns = [
@@ -441,12 +534,7 @@ def _eval_on_subset(
     in the columnar backend either.  Only the columns the expression
     references are gathered.
     """
-    refs = references(expr)
-    columns = [
-        col.take(indices) if (i in refs and col is not None) else None
-        for i, col in enumerate(batch.columns)
-    ]
-    return eval_expr(expr, ColumnBatch(columns, int(len(indices))))
+    return eval_expr(expr, batch.only(references(expr)).take(indices))
 
 
 def _can_raise(expr: Expr) -> bool:
@@ -507,6 +595,13 @@ def _eval_binary(expr: BinaryOp, batch: ColumnBatch) -> Column:
     if not (
         (lk in numeric and rk in numeric) or (lk == "U" and rk == "U")
     ):
+        raise _Fallback
+    if (
+        op in _COMPARISONS and "f" in (lk, rk)
+        and not (_float_exact(left) and _float_exact(right))
+    ):
+        # numpy compares int64 with float64 after rounding the int to a
+        # float; Python compares them exactly.
         raise _Fallback
     null = None
     if left.mask is not None or right.mask is not None:
@@ -749,6 +844,15 @@ def eval_expr(expr: Expr, batch: ColumnBatch) -> Column:
 # ---------------------------------------------------------------------------
 
 
+def _float_exact(col: Column) -> bool:
+    """True if widening ``col`` to float64 keeps every value exact, so
+    float equality agrees with Python's int/float ``==``."""
+    if col.kind != "i" or len(col) == 0:
+        return True
+    low, high = int(col.values.min()), int(col.values.max())
+    return -_FLOAT_EXACT_INT <= low and high <= _FLOAT_EXACT_INT
+
+
 def _codes_pair(
     left: Column, right: Column
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -761,7 +865,17 @@ def _codes_pair(
     lk, rk = left.kind, right.kind
     numeric = ("b", "i", "f")
     n_left = len(left)
-    if lk in numeric and rk in numeric:
+    if lk in ("b", "i") and rk in ("b", "i"):
+        combined = np.concatenate([
+            np.asarray(left.values, dtype=np.int64),
+            np.asarray(right.values, dtype=np.int64),
+        ])
+        _, inv = np.unique(combined, return_inverse=True)
+        codes = inv.astype(np.int64, copy=False)
+    elif (
+        lk in numeric and rk in numeric
+        and _float_exact(left) and _float_exact(right)
+    ):
         combined = np.concatenate([
             np.asarray(left.values, dtype=np.float64),
             np.asarray(right.values, dtype=np.float64),
@@ -1102,9 +1216,19 @@ def _exec_filter(node: PhysFilter, site: int, ctx: ExecContext) -> ColumnBatch:
 
 def _exec_project(node: PhysProject, site: int, ctx: ExecContext) -> ColumnBatch:
     batch = _execute(node.input, site, ctx)
-    columns = [eval_expr(e, batch) for e in node.exprs]
+    # Column references pass through with their pending selections:
+    # projecting a column away or forwarding it gathers nothing.
+    columns: List[Optional[Column]] = []
+    sels: List[Optional[_Selection]] = []
+    for e in node.exprs:
+        if isinstance(e, ColRef):
+            columns.append(batch.columns[e.index])
+            sels.append(batch.sels[e.index])
+        else:
+            columns.append(eval_expr(e, batch))
+            sels.append(None)
     ctx.charge(node, site, batch.length * RPTC)
-    return ColumnBatch(columns, batch.length)
+    return ColumnBatch(columns, batch.length, sels)
 
 
 def _exec_values(node: PhysValues, site: int, ctx: ExecContext) -> ColumnBatch:
@@ -1116,6 +1240,22 @@ def _exec_values(node: PhysValues, site: int, ctx: ExecContext) -> ColumnBatch:
 # -- joins --------------------------------------------------------------------
 
 
+def _joined_batch(
+    left: ColumnBatch,
+    right: ColumnBatch,
+    left_idx: np.ndarray,
+    right_idx: np.ndarray,
+    padded: bool = False,
+) -> ColumnBatch:
+    """Joined output rows as pending selections over both inputs;
+    ``right_idx == -1`` pads NULLs when ``padded``."""
+    lhs = left.take(left_idx)
+    rhs = right.take(right_idx, padded)
+    return ColumnBatch(
+        lhs.columns + rhs.columns, int(len(left_idx)), lhs.sels + rhs.sels
+    )
+
+
 def _combined_batch(
     left: ColumnBatch,
     right: ColumnBatch,
@@ -1124,48 +1264,14 @@ def _combined_batch(
     refs: Sequence[int],
 ) -> ColumnBatch:
     """The candidate-pair batch for residual evaluation: only referenced
-    columns are materialised."""
-    refs = set(refs)
-    width_left = left.width
-    columns: List[Optional[Column]] = []
-    for i in range(width_left + right.width):
-        if i not in refs:
-            columns.append(None)
-        elif i < width_left:
-            columns.append(left.column(i).take(left_idx))
-        else:
-            columns.append(right.column(i - width_left).take(right_idx))
-    return ColumnBatch(columns, int(len(left_idx)))
-
-
-def _gather_joined(
-    left: ColumnBatch,
-    right: ColumnBatch,
-    left_idx: np.ndarray,
-    right_idx: np.ndarray,
-) -> ColumnBatch:
-    """Materialise joined output rows; ``right_idx == -1`` pads NULLs."""
-    columns: List[Optional[Column]] = [
-        left.column(i).take(left_idx) for i in range(left.width)
-    ]
-    pad = right_idx < 0
-    any_pad = bool(pad.any())
-    safe_idx = np.where(pad, 0, right_idx) if any_pad else right_idx
-    for i in range(right.width):
-        if right.length == 0:
-            # Every output row is a pad (LEFT join against an empty
-            # right side): there is no row 0 to gather the fill from.
-            values = np.empty(len(right_idx), dtype=object)
-            values[:] = None
-            columns.append(
-                Column(values, np.ones(len(right_idx), dtype=np.bool_))
-            )
-            continue
-        col = right.column(i).take(safe_idx)
-        if any_pad:
-            col = Column(col.values, col.null_mask() | pad)
-        columns.append(col)
-    return ColumnBatch(columns, int(len(left_idx)))
+    columns are kept (the rest are ``None`` placeholders)."""
+    width = left.width
+    return _joined_batch(
+        left.only({i for i in refs if i < width}),
+        right.only({i - width for i in refs if i >= width}),
+        left_idx,
+        right_idx,
+    )
 
 
 def _assemble_join_output(
@@ -1180,7 +1286,7 @@ def _assemble_join_output(
     path's emit order) and per-join-type unmatched handling."""
     join_type = node.join_type
     if join_type is JoinType.INNER:
-        return _gather_joined(left, right, match_li, match_ri)
+        return _joined_batch(left, right, match_li, match_ri)
     if join_type is JoinType.SEMI:
         return left.take(np.flatnonzero(match_counts > 0))
     if join_type is JoinType.ANTI:
@@ -1189,13 +1295,43 @@ def _assemble_join_output(
     # order interleaved with the matched pairs.
     unmatched = np.flatnonzero(match_counts == 0)
     if unmatched.size == 0:
-        return _gather_joined(left, right, match_li, match_ri)
+        return _joined_batch(left, right, match_li, match_ri)
     all_li = np.concatenate([match_li, unmatched])
     all_ri = np.concatenate([
         match_ri, np.full(unmatched.size, -1, dtype=np.int64)
     ])
     order = np.argsort(all_li, kind="stable")
-    return _gather_joined(left, right, all_li[order], all_ri[order])
+    return _joined_batch(
+        left, right, all_li[order], all_ri[order], padded=True
+    )
+
+
+def _probe_keys(
+    left: ColumnBatch,
+    right: ColumnBatch,
+    pairs: Sequence[Tuple[int, int]],
+) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray, Optional[np.ndarray]]:
+    """Comparable probe and build keys with their NULL masks
+    (``None``: no NULLs).
+
+    One integer key pair probes on its int64 values directly — exact
+    for every value and no factorisation pass.  Everything else goes
+    through :func:`_join_codes`, whose ``-1`` build codes can never meet
+    a counted probe, so the build side needs no mask there.
+    """
+    if left.length == 0 or right.length == 0:
+        # Nothing can match, and an empty side's key column is untyped.
+        return (
+            np.zeros(left.length, np.int64), np.ones(left.length, np.bool_),
+            np.empty(0, np.int64), None,
+        )
+    if len(pairs) == 1:
+        (lpos, rpos), = pairs
+        lcol, rcol = left.column(lpos), right.column(rpos)
+        if lcol.kind == "i" and rcol.kind == "i":
+            return lcol.values, lcol.mask, rcol.values, rcol.mask
+    lcodes, rcodes = _join_codes(left, right, pairs)
+    return lcodes, lcodes < 0, rcodes, None
 
 
 def _equi_candidates(
@@ -1208,13 +1344,18 @@ def _equi_candidates(
 
     Returns ``(cand_left, cand_right, counts, offsets, pos_in_bucket)``.
     """
-    lcodes, rcodes = _join_codes(left, right, pairs)
-    order = np.argsort(rcodes, kind="stable")
-    sorted_codes = rcodes[order]
-    starts = np.searchsorted(sorted_codes, lcodes, side="left")
-    ends = np.searchsorted(sorted_codes, lcodes, side="right")
+    lkeys, lnull, rkeys, rnull = _probe_keys(left, right, pairs)
+    if rnull is None:
+        order = np.argsort(rkeys, kind="stable")
+    else:
+        build = np.flatnonzero(~rnull)  # NULL build keys match nothing
+        order = build[np.argsort(rkeys[build], kind="stable")]
+    sorted_keys = rkeys[order]
+    starts = np.searchsorted(sorted_keys, lkeys, side="left")
+    ends = np.searchsorted(sorted_keys, lkeys, side="right")
     counts = ends - starts
-    counts[lcodes < 0] = 0  # NULL keys probe nothing
+    if lnull is not None:
+        counts[lnull] = 0  # NULL keys probe nothing
     total = int(counts.sum())
     offsets = np.zeros(len(counts), dtype=np.int64)
     if len(counts):

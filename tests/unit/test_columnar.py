@@ -12,16 +12,20 @@ import random
 import numpy as np
 import pytest
 
+from repro.common.errors import ExecutionError
+from repro.exec import columnar
 from repro.exec.columnar import (
     ColumnBatch,
     column_from_values,
     concat_batches,
     concat_columns,
     eval_expr,
+    execute_columnar,
     from_rows,
     sort_batch,
 )
-from repro.exec.operators import sort_rows
+from repro.exec.operators import ExecContext, execute_node, sort_rows
+from repro.exec.physical import PhysHashJoin, PhysProject, PhysValues
 from repro.rel.expr import (
     BinaryOp,
     CaseExpr,
@@ -34,6 +38,9 @@ from repro.rel.expr import (
     UnaryOp,
     compile_expr,
 )
+from repro.rel.logical import JoinType
+from repro.rel.traits import Distribution
+from repro.storage.store import DataStore
 
 pytestmark = pytest.mark.columnar
 
@@ -229,10 +236,218 @@ class TestSortBatch:
 
 class TestBatchErrors:
     def test_unmaterialised_column_raises(self):
-        from repro.common.errors import ExecutionError
-
         batch = ColumnBatch([None, column_from_values([1])], 1)
         with pytest.raises(ExecutionError):
             batch.column(0)
         with pytest.raises(ExecutionError):
             batch.to_rows()
+
+
+#: One column of each kind — b, i, f, U and O (wide strings) — with NULLs.
+KIND_ROWS = [
+    (True, 1, 1.5, "a", "w" * 40),
+    (False, None, -0.0, "bb", None),
+    (None, 3, None, None, "x" * 50),
+    (True, -4, 2.25, "ccc", "y" * 33),
+    (False, 5, 0.5, "d", "z" * 60),
+]
+
+
+def _assert_same_columns(got: ColumnBatch, want: ColumnBatch):
+    assert got.length == want.length
+    for i in range(want.width):
+        g, w = got.column(i), want.column(i)
+        assert g.kind == w.kind
+        assert g.values.tolist() == w.values.tolist()
+        assert g.null_mask().tolist() == w.null_mask().tolist()
+    assert got.to_rows() == want.to_rows()
+    for g_row, w_row in zip(got.to_rows(), want.to_rows()):
+        assert [type(v) for v in g_row] == [type(v) for v in w_row]
+
+
+def _eager_take(batch: ColumnBatch, indices) -> ColumnBatch:
+    idx = np.asarray(indices, dtype=np.int64)
+    return ColumnBatch(
+        [batch.column(i).take(idx) for i in range(batch.width)], len(idx)
+    )
+
+
+def _values_join(left_rows, right_rows, join_type, exprs=None):
+    join = PhysHashJoin(
+        PhysValues(left_rows, ("lk", "lpayload")),
+        PhysValues(right_rows, ("rk", "rname")),
+        [(0, 0)], None, join_type, Distribution.single(),
+    )
+    if exprs is None:
+        return join
+    return PhysProject(join, exprs, [f"c{i}" for i in range(len(exprs))])
+
+
+def _run_both(node):
+    ctx = ExecContext(DataStore(site_count=1), limit_units=1e9)
+    want = execute_node(node, 0, ctx)
+    ctx = ExecContext(DataStore(site_count=1), limit_units=1e9)
+    return execute_columnar(node, 0, ctx), want
+
+
+class TestDeferredGathers:
+    """Takes compose pending selections; reads gather them.  Every
+    deferred result must equal the eager gather it replaces."""
+
+    def test_take_of_take_equals_eager_gather(self):
+        rng = random.Random(3)
+        base = from_rows(KIND_ROWS, 5)
+        for _ in range(20):
+            first = [rng.randrange(5) for _ in range(rng.randrange(0, 8))]
+            second = (
+                [rng.randrange(len(first)) for _ in range(rng.randrange(0, 8))]
+                if first else []
+            )
+            deferred = base.take(np.asarray(first, np.int64)).take(
+                np.asarray(second, np.int64)
+            )
+            # One composed selection for the whole batch, nothing gathered.
+            assert len({id(s) for s in deferred.sels}) == 1
+            assert all(c is b for c, b in zip(deferred.columns, base.columns))
+            eager = _eager_take(_eager_take(base, first), second)
+            _assert_same_columns(deferred, eager)
+
+    def test_slice_of_a_take_equals_eager_gather(self):
+        base = from_rows(KIND_ROWS, 5)
+        perm = np.asarray([4, 2, 0, 3, 1], np.int64)
+        deferred = base.take(perm).slice(1, 4)
+        _assert_same_columns(deferred, _eager_take(base, [2, 0, 3]))
+
+    def test_read_gathers_once_and_caches(self):
+        deferred = from_rows(KIND_ROWS, 5).take(np.asarray([1, 0], np.int64))
+        col = deferred.column(1)
+        assert deferred.sels[1] is None and deferred.column(1) is col
+        assert deferred.sels[0] is not None  # unread columns stay pending
+
+    def test_left_join_pads_compose_with_pending_selections(self):
+        right_base = from_rows([(7, "p"), (8, None), (9, "r")], 2)
+        right = right_base.take(np.asarray([2, 1], np.int64))  # pending
+        left = from_rows([(1,), (2,), (3,)], 1)
+        out = columnar._joined_batch(
+            left, right,
+            np.asarray([0, 1, 2], np.int64), np.asarray([1, -1, 0], np.int64),
+            padded=True,
+        )
+        assert out.to_rows() == [(1, 8, None), (2, None, None), (3, 9, "r")]
+        # A take of the padded batch keeps the pads where they moved.
+        again = out.take(np.asarray([1, 2, 1], np.int64))
+        assert again.to_rows() == [
+            (2, None, None), (3, 9, "r"), (2, None, None)
+        ]
+
+    def test_left_join_matches_row_interpreter(self):
+        left_rows = [(1, "a"), (2, "b"), (None, "c"), (3, "d")]
+        right_rows = [(3, "x"), (1, "y"), (3, "z")]
+        got, want = _run_both(
+            _values_join(left_rows, right_rows, JoinType.LEFT)
+        )
+        assert got == want
+        assert want[1] == (2, "b", None, None)
+
+    def test_left_join_against_an_empty_right_side(self):
+        node = _values_join(
+            [(1, "a"), (2, "b")], [], JoinType.LEFT,
+            [ColRef(3), ColRef(0), ColRef(2)],
+        )
+        got, want = _run_both(node)
+        assert got == want == [(None, 1, None), (None, 2, None)]
+        left = from_rows([(1,), (2,)], 1)
+        out = columnar._joined_batch(
+            left, from_rows([], 2),
+            np.asarray([0, 1], np.int64), np.asarray([-1, -1], np.int64),
+            padded=True,
+        )
+        assert [out.column(i).kind for i in (1, 2)] == ["O", "O"]
+        assert out.to_rows() == [(1, None, None), (2, None, None)]
+
+    def test_combined_batch_keeps_only_referenced_columns(self):
+        left = from_rows([(1, "a", 1.5), (2, "b", 2.5)], 3)
+        right = from_rows([(10, "x"), (20, None)], 2)
+        li = np.asarray([1, 0, 1], np.int64)
+        ri = np.asarray([0, 1, 1], np.int64)
+        combined = columnar._combined_batch(left, right, li, ri, {0, 4})
+        for absent in (1, 2, 3):
+            assert combined.columns[absent] is None
+            with pytest.raises(ExecutionError):
+                combined.column(absent)
+        with pytest.raises(ExecutionError):
+            combined.to_rows()
+        assert combined.column(0).to_list() == [2, 1, 2]
+        assert combined.column(4).to_list() == ["x", None, None]
+        # Placeholders survive a further take (a CASE/AND subset).
+        sub = combined.take(np.asarray([2], np.int64))
+        assert sub.columns[1] is None
+        assert sub.column(4).to_list() == [None]
+        expr = BinaryOp(">", ColRef(0), Literal(1))
+        assert eval_expr(expr, combined).to_list() == [True, False, True]
+
+    def test_like_on_a_deferred_wide_string_column(self):
+        rows = [("x" * 40 + "needle",), ("y" * 40,), ("z" * 40 + "needle",)]
+        base = from_rows(rows, 1)
+        assert base.column(0).kind == "O"
+        expr = LikeExpr(ColRef(0), "%needle")
+        assert eval_expr(expr, base).to_list() == [True, False, True]
+        assert base.column(0)._ucache is not None
+        # The taken rows get their own U view, never the base's cache.
+        deferred = base.take(np.asarray([1, 2, 1, 0], np.int64))
+        want = [False, True, False, True]
+        assert eval_expr(expr, deferred).to_list() == want
+        resolved = deferred.column(0)
+        assert resolved is not base.column(0)
+        assert resolved._ucache is not None
+        assert len(resolved._ucache) == 4
+        assert eval_expr(expr, deferred).to_list() == want
+
+    def test_project_over_hash_join_never_gathers_unused_column(
+        self, monkeypatch
+    ):
+        gathered = []
+        original = columnar._Selection.gather
+
+        def recording_gather(self, base):
+            gathered.append(base.to_list())
+            return original(self, base)
+
+        monkeypatch.setattr(columnar._Selection, "gather", recording_gather)
+        left_rows = [(k % 4, f"unused-{k}") for k in range(12)]
+        right_rows = [(k, f"name-{k}") for k in (2, 0, 3, 2)]
+        node = _values_join(
+            left_rows, right_rows, JoinType.INNER, [ColRef(0), ColRef(3)]
+        )
+        got, want = _run_both(node)
+        assert got == want and len(got) == 12
+        assert gathered, "the projected join columns are gathered at to_rows"
+        for values in gathered:
+            assert not any(
+                isinstance(v, str) and v.startswith("unused-")
+                for v in values
+            ), "the unreferenced left payload column was gathered"
+
+
+class TestIntegerKeyProbe:
+    """Single-pair integer equi-joins probe on the int64 values."""
+
+    def test_null_keys_match_nothing_not_even_the_fill_value(self):
+        # A NULL int key stores fill 0 under its mask: it must neither
+        # build nor probe, even against a real key 0.
+        left = [(0, "a"), (None, "b"), (2, "c")]
+        right = [(None, "x"), (0, "y"), (2, "z"), (0, "w")]
+        got, want = _run_both(_values_join(left, right, JoinType.INNER))
+        assert got == want == [
+            (0, "a", 0, "y"), (0, "a", 0, "w"), (2, "c", 2, "z")
+        ]
+        got, want = _run_both(_values_join(left, right, JoinType.LEFT))
+        assert got == want
+        assert want[2] == (None, "b", None, None)
+
+    def test_keys_beyond_float_precision_stay_distinct(self):
+        big = 2**53
+        left = [(big, "a"), (5, "b"), (-big - 1, "c")]
+        right = [(big + 1, "x"), (5, "y"), (-big, "z"), (big, "w")]
+        got, want = _run_both(_values_join(left, right, JoinType.INNER))
+        assert got == want == [(big, "a", big, "w"), (5, "b", 5, "y")]
