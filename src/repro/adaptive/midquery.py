@@ -42,10 +42,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import ColumnType
 from repro.common.config import SystemConfig
-from repro.common.constants import RPTC
 from repro.common.errors import ReproError, StorageError
+from repro.cost import charges
 from repro.exec.fragments import Fragment, PhysReceiver, fragment_plan
-from repro.exec.operators import network_units_for
 from repro.exec.physical import (
     AggPhase,
     PhysAggregateBase,
@@ -75,10 +74,6 @@ from repro.rel.logical import (
     RelNode,
 )
 from repro.storage.store import DataStore
-
-#: Work units charged per planner-budget tick spent re-planning, so the
-#: re-optimization itself shows up in the simulated makespan.
-REPLAN_UNITS_PER_TICK = 1.0
 
 #: Prefix of the temp tables holding materialized intermediates.
 TEMP_PREFIX = "__mq_"
@@ -220,7 +215,7 @@ class MidQueryController:
             # triggering fragment's root at the coordinator.  Every suffix
             # task depends on this fragment, so the makespan serializes
             # behind the re-plan exactly as a real engine would.
-            units = budget_spent * REPLAN_UNITS_PER_TICK + shipping
+            units = charges.replan(budget_spent) + shipping
             ctx.charge(fragment.root, coordinator, units)
             ctx.network_units += shipping
             ctx.rows_shipped += shipped_rows
@@ -489,9 +484,7 @@ class MidQueryController:
             self._temp_producer[name] = producer.fragment_id
             _ACTIVE_STORES.add(self.store)
             copies = self.config.sites
-            shipping += len(rows) * 2.0 * RPTC + network_units_for(
-                len(rows), width, copies
-            )
+            shipping += charges.exchange_send(len(rows), width, copies)[0]
             shipped_rows += len(rows) * copies
         self._pending = []
         return shipping, shipped_rows

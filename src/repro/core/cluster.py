@@ -234,6 +234,9 @@ class IgniteCalciteCluster:
             raise UnsupportedSqlError(
                 "DDL statements have no logical plan; use sql() or try_sql()"
             )
+        return self._to_logical(statement)
+
+    def _to_logical(self, statement) -> RelNode:
         converter = SqlToRelConverter(
             self.store.catalog,
             q20_defect_fixed=self.config.q20_defect_fixed,
@@ -287,12 +290,7 @@ class IgniteCalciteCluster:
     def _plan_select(
         self, select: ast_module.Select, allow_cache: bool = True
     ) -> PhysNode:
-        converter = SqlToRelConverter(
-            self.store.catalog,
-            q20_defect_fixed=self.config.q20_defect_fixed,
-            views=self._views,
-        )
-        logical = converter.convert(select)
+        logical = self._to_logical(select)
         # Correctness guards: EXPLAIN [ANALYZE] (allow_cache=False), traced
         # queries and fault-injected runs bypass the adaptive layer
         # entirely — never served from the cache, never populating it, and
@@ -386,49 +384,13 @@ class IgniteCalciteCluster:
     def sql(self, sql: str) -> ExecutionResult:
         """Plan and execute; raises on any failure.
 
-        With ``verify_execution`` set, every query additionally runs
-        through the differential harness: the optimised plan is checked
-        against the structural invariants and the distributed result is
-        diffed against the reference executor.  A divergence raises
-        :class:`~repro.common.errors.VerificationError`.
+        The same dispatch as :meth:`try_sql`, raising the classified error
+        (the very exception instance) instead of returning it.
         """
-        tracer = self._begin_trace()
-        with activate(tracer), tracer.span(
-            "query", system=self.config.name
-        ):
-            statement = self._parse(sql)
-            if isinstance(statement, ast_module.Explain):
-                return self._run_explain(statement)
-            if isinstance(statement, ast_module.CreateView):
-                raise UnsupportedSqlError(
-                    "CREATE VIEW is DDL; use create_view() or try_sql()"
-                )
-            if isinstance(statement, ast_module.CreateTable):
-                self._ddl_create_table(statement)
-                return _empty_result(self.config)
-            if self.config.verify_execution:
-                # Imported lazily: the differential module imports the engine.
-                from repro.verify.differential import differential_check
-
-                report = differential_check(
-                    sql, self.store, self.config, views=self._views
-                )
-                report.raise_on_failure()
-                if report.result is not None and self.fault_injector is None:
-                    # Under a fault schedule the harness's result is the
-                    # *fault-free* execution; fall through so the caller gets
-                    # the degraded run (already proven row-correct above).
-                    return report.result
-                # Skipped (e.g. planning budget): fall through so the caller
-                # sees the same exception an unverified run would raise.
-            plan = self._plan_select(statement)
-            try:
-                result = self.execute_plan(plan)
-            except (FaultError, ExecutionTimeoutError):
-                self._harvest_partial()
-                raise
-            self._observe_adaptive(plan, result)
-            return result
+        outcome = self.try_sql(sql)
+        if outcome.error is not None:
+            raise outcome.error
+        return outcome.result
 
     def try_sql(self, sql: str, at: float = 0.0) -> QueryOutcome:
         """Plan and execute, classifying the paper's failure modes.
@@ -438,58 +400,77 @@ class IgniteCalciteCluster:
         schedule, ``at`` places the attempt on the chaos clock; failures
         caused by injected faults classify as ``FAILED_SITE`` and a
         degraded-but-correct completion as ``DEGRADED``.
+
+        With ``verify_execution`` set, every query also runs through the
+        differential harness (plan invariants, reference-executor diff); a
+        divergence fails it with a ``VerificationError``.
         """
         tracer = self._begin_trace()
         with activate(tracer), tracer.span(
             "query", system=self.config.name
         ):
+            plan = None
             try:
                 statement = self._parse(sql)
                 if isinstance(statement, ast_module.CreateView):
                     self._views[statement.name] = statement.select
                     self._invalidate_plans()
-                    return QueryOutcome(
-                        QueryStatus.OK, result=_empty_result(self.config)
-                    )
+                    return _completed(_empty_result(self.config))
                 if isinstance(statement, ast_module.CreateTable):
                     self._ddl_create_table(statement)
-                    return QueryOutcome(
-                        QueryStatus.OK, result=_empty_result(self.config)
-                    )
+                    return _completed(_empty_result(self.config))
                 if isinstance(statement, ast_module.Explain):
                     return QueryOutcome(
                         QueryStatus.OK,
                         result=self._run_explain(statement, at=at),
                     )
+                if self.config.verify_execution:
+                    # Imported lazily: repro.verify imports the engine.
+                    from repro.verify.differential import differential_check
+
+                    report = differential_check(
+                        sql, self.store, self.config, views=self._views
+                    )
+                    report.raise_on_failure()
+                    # Under a fault schedule the harness's result is the
+                    # *fault-free* execution; fall through so the caller
+                    # gets the degraded run (already proven row-correct).
+                    verified = report.result
+                    if verified is not None and self.fault_injector is None:
+                        return _completed(verified)
+                    # Skipped (e.g. planning budget): fall through so the
+                    # caller sees the failure an unverified run would.
                 plan = self._plan_select(statement)
-            except FaultError as exc:
-                # EXPLAIN ANALYZE executes, so injected faults surface here.
-                return QueryOutcome(QueryStatus.FAILED_SITE, error=exc)
-            except ExecutionTimeoutError as exc:
-                return QueryOutcome(QueryStatus.TIMED_OUT, error=exc)
-            except UnsupportedSqlError as exc:
-                return QueryOutcome(QueryStatus.UNSUPPORTED, error=exc)
-            except PlannerDefectError as exc:
-                return QueryOutcome(QueryStatus.PLANNER_DEFECT, error=exc)
-            except PlanningTimeoutError as exc:
-                return QueryOutcome(QueryStatus.PLANNING_FAILED, error=exc)
-            except ReproError as exc:
-                # User errors (unknown tables/columns, syntax) — not one of the
-                # paper's systemic failure modes, but the harness should not
-                # crash on them either.
-                return QueryOutcome(QueryStatus.ERROR, error=exc)
-            try:
                 result = self.execute_plan(plan, at=at)
-            except FaultError as exc:
-                self._harvest_partial()
-                return QueryOutcome(QueryStatus.FAILED_SITE, error=exc)
-            except ExecutionTimeoutError as exc:
-                self._harvest_partial()
-                return QueryOutcome(QueryStatus.TIMED_OUT, error=exc)
+            except ReproError as exc:
+                if plan is not None:  # execution failed: harvest its actuals
+                    self._harvest_partial()
+                status = next(
+                    _FAILURE_STATUS[cls]
+                    for cls in type(exc).__mro__
+                    if cls in _FAILURE_STATUS
+                )
+                return QueryOutcome(status, error=exc)
             self._observe_adaptive(plan, result)
-            if result.degraded:
-                return QueryOutcome(QueryStatus.DEGRADED, result=result)
-            return QueryOutcome(QueryStatus.OK, result=result)
+            return _completed(result)
+
+
+def _completed(result: ExecutionResult) -> QueryOutcome:
+    status = QueryStatus.DEGRADED if result.degraded else QueryStatus.OK
+    return QueryOutcome(status, result=result)
+
+
+#: How ``try_sql`` classifies a failure (the nearest class in the error's
+#: MRO wins).  User errors — unknown tables/columns, syntax — and failed
+#: verification are not among the paper's failure modes: ERROR.
+_FAILURE_STATUS = {
+    FaultError: QueryStatus.FAILED_SITE,
+    ExecutionTimeoutError: QueryStatus.TIMED_OUT,
+    UnsupportedSqlError: QueryStatus.UNSUPPORTED,
+    PlannerDefectError: QueryStatus.PLANNER_DEFECT,
+    PlanningTimeoutError: QueryStatus.PLANNING_FAILED,
+    ReproError: QueryStatus.ERROR,
+}
 
 
 def _empty_result(config: SystemConfig) -> ExecutionResult:

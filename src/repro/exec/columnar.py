@@ -17,10 +17,12 @@ Three rules keep the backend honest:
   path is this backend's differential oracle — the property sweep in
   ``tests/property/test_columnar_differential.py`` pins the contract.
 
-* **Identical work-unit charges.**  Operators charge the same
-  RPTC/RCC/HAC formulas on the same row counts as the row interpreter,
-  so simulated makespans, traces, ``rows_in``/``rows_out`` and memory
-  high-waters are backend-independent; only real wall-clock changes.
+* **Identical work-unit charges.**  Every charge, buffer size and
+  OFFSET/FETCH bound comes from :mod:`repro.cost.charges` on the same row
+  counts as the row interpreter, and ``rows_in``/``rows_out`` go through
+  the shared ``ExecContext.run_operator``, so simulated makespans, traces
+  and memory high-waters are backend-independent by construction; only
+  wall-clock time changes.
 
 * **Row fallback, never wrong answers.**  Expressions the vectorizer
   does not cover (SUBSTRING, COALESCE, mixed-type object columns, ...)
@@ -31,31 +33,26 @@ Three rules keep the backend honest:
   stay vectorized without changing a single output bit.
 
 The engine seam is unchanged: :func:`execute_columnar` has the same
-signature as ``execute_node`` and maintains the same ``ExecContext``
-accounting, so fragments, scheduling, fault injection, tracing and the
-serve layer all work unchanged.  Exchanges still ship plain row lists
-(the network model serialises tuples); receivers re-batch on arrival.
+signature as ``execute_node``, so fragments, scheduling, fault injection,
+tracing and the serve layer work unchanged.  Exchanges ship plain row
+lists (the network model serialises tuples); receivers re-batch them.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.constants import AFS, HAC, RCC, RPTC
 from repro.common.errors import ExecutionError
 from repro.common.ordering import NullsLast
+from repro.cost import charges
 from repro.exec.aggregates import AggregateEvaluator
 from repro.exec.fragments import PhysReceiver
 from repro.exec.operators import (
     ExecContext,
     adapter_scan,
-    apply_offset_fetch,
-    charge_adapter_scan,
-    compiled_pushdown,
-    sort_rows,
+    uses_adapter,
 )
 from repro.exec.physical import (
     AggPhase,
@@ -1030,32 +1027,16 @@ def execute_columnar(node: PhysNode, site: int, ctx: ExecContext) -> Rows:
     """
     batch = _execute(node, site, ctx)
     rows = batch.to_rows()
-    cache = getattr(ctx, "_columnar_streams", None)
-    if cache is None:
-        cache = {}
-        ctx._columnar_streams = cache
-    cache[id(rows)] = (rows, batch)
+    ctx.__dict__.setdefault("_columnar_streams", {})[id(rows)] = (rows, batch)
     return rows
 
 
 def _execute(node: PhysNode, site: int, ctx: ExecContext) -> ColumnBatch:
-    handler = _HANDLERS.get(type(node))
-    if handler is None:
-        raise ExecutionError(
-            f"no columnar interpreter for {type(node).__name__}"
-        )
-    caller = ctx._op_stack[-1] if ctx._op_stack else None
-    ctx._op_stack.append(id(node))
-    try:
-        batch = handler(node, site, ctx)
-    finally:
-        ctx._op_stack.pop()
-    key = (id(node), site)
-    ctx.op_rows[key] = ctx.op_rows.get(key, 0) + batch.length
-    if caller is not None:
-        in_key = (caller, site)
-        ctx.op_rows_in[in_key] = ctx.op_rows_in.get(in_key, 0) + batch.length
-    return batch
+    return ctx.run_operator(_HANDLERS, node, site, _batch_length)
+
+
+def _batch_length(batch: ColumnBatch) -> int:
+    return batch.length
 
 
 # -- scans --------------------------------------------------------------------
@@ -1096,20 +1077,13 @@ def _exec_table_scan(
     node: PhysTableScan, site: int, ctx: ExecContext
 ) -> ColumnBatch:
     data = ctx.store.table(node.table)
-    adapter = data.adapter
-    if adapter is not None and (
-        adapter.name != "native" or compiled_pushdown(node) is not None
-    ):
+    if uses_adapter(node, data):
         # Adapter-backed (or pushed) scans go through the shared adapter
         # seam so charges, scan counters and pushdown metrics match the
         # row backend exactly — and are never cached: every execution
         # must re-read the source (remote request counters, zone-map
         # pruning stats) just like the row path does.
-        partitions = list(ctx.partitions_for(data, site))
-        scanned, rows = adapter_scan(node, data, partitions)
-        charge_adapter_scan(
-            node, site, ctx, data, scanned, len(rows), len(partitions)
-        )
+        rows = adapter_scan(node, site, ctx, data)
         kinds = _table_plan(data)
         if node.pushed_project is not None:
             kinds = [kinds[i] for i in node.pushed_project]
@@ -1126,7 +1100,7 @@ def _exec_table_scan(
             data.schema.width,
         )
         cache[partitions] = batch
-    ctx.charge(node, site, batch.length * RPTC)
+    ctx.charge(node, site, charges.table_scan(batch.length))
     return batch
 
 
@@ -1175,7 +1149,7 @@ def _exec_index_scan(
         # A stable sort of the concatenated sorted streams equals the
         # row path's heapq.merge (ties resolve to the earlier stream).
         batch = sort_batch(batch, [(p, True) for p in key_positions])
-    ctx.charge(node, site, batch.length * RPTC * 1.1)
+    ctx.charge(node, site, charges.index_scan(batch.length))
     return batch
 
 
@@ -1198,8 +1172,8 @@ def _exec_receiver(
     if node.collation.is_sorted and len(streams) > 1:
         batch = sort_batch(batch, node.collation.keys)
     ctx.record_input(node, site, sum(len(s) for s in streams))
-    ctx.note_memory(site, batch.length * node.width * AFS)
-    ctx.charge(node, site, batch.length * RPTC)
+    ctx.note_memory(site, charges.buffer_bytes(batch.length, node.width))
+    ctx.charge(node, site, charges.receiver(batch.length))
     return batch
 
 
@@ -1210,7 +1184,7 @@ def _exec_filter(node: PhysFilter, site: int, ctx: ExecContext) -> ColumnBatch:
     batch = _execute(node.input, site, ctx)
     keep = _truthy(eval_expr(node.condition, batch))
     out = batch.take(np.flatnonzero(keep))
-    ctx.charge(node, site, batch.length * (RPTC + RCC))
+    ctx.charge(node, site, charges.filter(batch.length))
     return out
 
 
@@ -1227,13 +1201,13 @@ def _exec_project(node: PhysProject, site: int, ctx: ExecContext) -> ColumnBatch
         else:
             columns.append(eval_expr(e, batch))
             sels.append(None)
-    ctx.charge(node, site, batch.length * RPTC)
+    ctx.charge(node, site, charges.project(batch.length))
     return ColumnBatch(columns, batch.length, sels)
 
 
 def _exec_values(node: PhysValues, site: int, ctx: ExecContext) -> ColumnBatch:
     batch = from_rows(list(node.rows), len(node.fields))
-    ctx.charge(node, site, batch.length * RPTC)
+    ctx.charge(node, site, charges.values(batch.length))
     return batch
 
 
@@ -1368,11 +1342,17 @@ def _equi_candidates(
     return cand_left, cand_right, counts, offsets, pos_in_bucket
 
 
-def _exec_equi_join(node, site: int, ctx: ExecContext, is_hash: bool) -> ColumnBatch:
+def _exec_equi_join(node, site: int, ctx: ExecContext) -> ColumnBatch:
+    """Hash and merge joins.  Merge inputs arrive sorted on the keys, so
+    the set of matches per left row equals the hash join's — the merge
+    scan is an access-path detail; only the charges differ."""
     left = _execute(node.left, site, ctx)
     right = _execute(node.right, site, ctx)
+    is_hash = isinstance(node, PhysHashJoin)
     if is_hash:
-        ctx.note_memory(site, right.length * node.right.width * AFS)
+        ctx.note_memory(
+            site, charges.buffer_bytes(right.length, node.right.width)
+        )
     cand_left, cand_right, counts, _, pos_in_bucket = _equi_candidates(
         left, right, node.pairs
     )
@@ -1402,24 +1382,14 @@ def _exec_equi_join(node, site: int, ctx: ExecContext, is_hash: bool) -> ColumnB
     out = _assemble_join_output(
         node, left, right, match_li, match_ri, match_counts
     )
-    units = (left.length + right.length) * (RCC + RPTC + HAC)
     if is_hash:
-        units += matches_scanned * RCC
-    units += out.length * RPTC
+        units = charges.hash_join(
+            left.length, right.length, matches_scanned, out.length
+        )
+    else:
+        units = charges.merge_join(left.length, right.length, out.length)
     ctx.charge(node, site, units)
     return out
-
-
-def _exec_hash_join(node: PhysHashJoin, site: int, ctx: ExecContext) -> ColumnBatch:
-    return _exec_equi_join(node, site, ctx, is_hash=True)
-
-
-def _exec_merge_join(node: PhysMergeJoin, site: int, ctx: ExecContext) -> ColumnBatch:
-    # Both inputs arrive sorted on the keys, so the set of matches per
-    # left row equals the hash join's — the merge scan is an access-path
-    # detail.  The charge formula is the merge join's own (no bucket-scan
-    # term).
-    return _exec_equi_join(node, site, ctx, is_hash=False)
 
 
 def _exec_nested_loop_join(
@@ -1428,8 +1398,7 @@ def _exec_nested_loop_join(
     left = _execute(node.left, site, ctx)
     right = _execute(node.right, site, ctx)
     n_left, n_right = left.length, right.length
-    pairs = n_left * n_right
-    ctx.precheck(node, site, pairs * RCC)
+    ctx.precheck(node, site, charges.nested_loop_pairs(n_left, n_right))
     condition = node.condition
     if condition is None or n_left == 0 or n_right == 0:
         if n_right == 0:
@@ -1468,7 +1437,7 @@ def _exec_nested_loop_join(
         node, left, right, match_li, match_ri, match_counts
     )
     ctx.charge(
-        node, site, pairs * RCC + (n_left + n_right + out.length) * RPTC
+        node, site, charges.nested_loop_join(n_left, n_right, out.length)
     )
     return out
 
@@ -1478,27 +1447,24 @@ def _exec_nested_loop_join(
 
 def _exec_sort(node: PhysSort, site: int, ctx: ExecContext) -> ColumnBatch:
     batch = _execute(node.input, site, ctx)
-    ctx.note_memory(site, batch.length * node.width * AFS)
+    ctx.note_memory(site, charges.buffer_bytes(batch.length, node.width))
     out = sort_batch(batch, node.keys)
     if node.fetch is not None or node.offset is not None:
-        skip = node.offset or 0
-        stop = None if node.fetch is None else skip + node.fetch
-        out = out.slice(skip, stop)
-    n = batch.length
-    ctx.charge(node, site, n * RPTC + n * math.log2(n + 2) * RCC)
+        start, stop, _ = charges.offset_fetch(
+            out.length, node.offset, node.fetch
+        )
+        out = out.slice(start, stop)
+    ctx.charge(node, site, charges.sort(batch.length))
     return out
 
 
 def _exec_limit(node: PhysLimit, site: int, ctx: ExecContext) -> ColumnBatch:
     batch = _execute(node.input, site, ctx)
-    skip = node.offset or 0
-    if node.fetch is None:
-        out, consumed = batch.slice(skip, None), batch.length
-    else:
-        end = skip + node.fetch
-        out, consumed = batch.slice(skip, end), min(batch.length, end)
-    ctx.charge(node, site, consumed * RPTC)
-    return out
+    start, stop, consumed = charges.offset_fetch(
+        batch.length, node.offset, node.fetch
+    )
+    ctx.charge(node, site, charges.limit(consumed))
+    return batch.slice(start, stop)
 
 
 # -- aggregates ---------------------------------------------------------------
@@ -1776,8 +1742,8 @@ def _exec_hash_aggregate(
 ) -> ColumnBatch:
     batch = _execute(node.input, site, ctx)
     out = _aggregate_batch(node, batch, sorted_runs=False)
-    ctx.note_memory(site, out.length * node.width * AFS)
-    ctx.charge(node, site, batch.length * (RPTC + HAC) + out.length * RPTC)
+    ctx.note_memory(site, charges.buffer_bytes(out.length, node.width))
+    ctx.charge(node, site, charges.hash_aggregate(batch.length, out.length))
     return out
 
 
@@ -1788,7 +1754,7 @@ def _exec_sort_aggregate(
     if node.phase is AggPhase.REDUCE:
         raise ExecutionError("sort aggregate does not implement REDUCE")
     out = _aggregate_batch(node, batch, sorted_runs=True)
-    ctx.charge(node, site, batch.length * (RPTC + RCC) + out.length * RPTC)
+    ctx.charge(node, site, charges.sort_aggregate(batch.length, out.length))
     return out
 
 
@@ -1800,14 +1766,10 @@ _HANDLERS = {
     PhysProject: _exec_project,
     PhysValues: _exec_values,
     PhysNestedLoopJoin: _exec_nested_loop_join,
-    PhysHashJoin: _exec_hash_join,
-    PhysMergeJoin: _exec_merge_join,
+    PhysHashJoin: _exec_equi_join,
+    PhysMergeJoin: _exec_equi_join,
     PhysSort: _exec_sort,
     PhysLimit: _exec_limit,
     PhysHashAggregate: _exec_hash_aggregate,
     PhysSortAggregate: _exec_sort_aggregate,
 }
-
-# ``sort_rows`` is imported for parity documentation/tests; keep the
-# reference so linters see it used.
-_ = sort_rows

@@ -22,10 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.constants import (
-    AFS,
     CORE_UNITS_PER_SECOND,
     FRAGMENT_SETUP_UNITS,
-    NETWORK_ROWS_PER_MESSAGE,
     RPTC,
     VARIANT_MIN_UNITS,
     VARIANT_SETUP_UNITS,
@@ -43,11 +41,12 @@ from repro.cluster.scheduler import (
     simulate_makespan,
     simulate_makespan_with_faults,
 )
+from repro.cost import charges
 from repro.faults.injector import FaultInjector, failover_owner
 from repro.obs.metrics import get_registry, q_error
 from repro.obs.trace import get_tracer
 from repro.exec.fragments import Fragment, PhysReceiver, fragment_plan
-from repro.exec.operators import ExecContext, execute_node, network_units_for
+from repro.exec.operators import ExecContext, execute_node
 from repro.exec.physical import PhysNode
 from repro.exec.variants import SOURCE, plan_variants
 from repro.rel.traits import Distribution, satisfies
@@ -212,6 +211,7 @@ class ExecutionEngine:
         """
         tracer = get_tracer()
         registry = get_registry()
+        self.last_partial = None
         with tracer.span("fragment") as span:
             fragments = fragment_plan(plan)
             span.attrs["fragments"] = len(fragments)
@@ -246,7 +246,6 @@ class ExecutionEngine:
             run_fragment = execute_columnar
         else:
             run_fragment = execute_node
-        self.last_partial = None
         midquery = None
         if self.config.midquery_reoptimization and injector is None:
             # Imported lazily: repro.adaptive imports the planner, which
@@ -314,9 +313,7 @@ class ExecutionEngine:
                 ctx.current_fragment = None
         except Exception:
             if completed:
-                self.last_partial = self._partial_execution(
-                    completed, fragment_sites, ctx
-                )
+                self.last_partial = _partial(completed, fragment_sites, ctx)
             raise
         finally:
             if midquery is not None:
@@ -345,9 +342,7 @@ class ExecutionEngine:
         if deadline is not None and makespan > deadline:
             # The work is done and every actual is known — feed them to
             # adaptive re-planning even though the query misses its SLO.
-            self.last_partial = self._partial_execution(
-                completed, fragment_sites, ctx
-            )
+            self.last_partial = _partial(completed, fragment_sites, ctx)
             raise QueryDeadlineError(
                 f"query ran {makespan:.3f}s simulated, past its "
                 f"{deadline:.3f}s deadline",
@@ -359,21 +354,12 @@ class ExecutionEngine:
         degraded = redispatched > 0 or (
             alive is not None and len(alive) < self.config.sites
         )
-        actuals: Dict[int, Tuple[int, float]] = {}
-        rows_in: Dict[int, int] = {}
+        actuals, rows_in = _operator_totals(fragments, fragment_sites, ctx)
         for fragment in fragments:
-            sites = fragment_sites[fragment.fragment_id]
             for op in fragment.operators():
-                rows = sum(ctx.op_rows.get((id(op), site), 0) for site in sites)
-                units = sum(
-                    ctx.op_units.get((id(op), site), 0.0) for site in sites
-                )
-                actuals[id(op)] = (rows, units)
-                rows_in[id(op)] = sum(
-                    ctx.op_rows_in.get((id(op), site), 0) for site in sites
-                )
                 op_name = type(op).__name__
-                registry.inc("operator.rows_out", rows, op=op_name)
+                rows_out = actuals[id(op)][0]
+                registry.inc("operator.rows_out", rows_out, op=op_name)
                 registry.inc("operator.rows_in", rows_in[id(op)], op=op_name)
         for stat in stats:
             stat.mem_bytes = max(
@@ -417,28 +403,6 @@ class ExecutionEngine:
 
             check_execution_result(result)
         return result
-
-    def _partial_execution(
-        self,
-        completed: Sequence[Fragment],
-        fragment_sites: Dict[int, List[int]],
-        ctx: ExecContext,
-    ) -> PartialExecution:
-        """Per-operator actuals over the fragments that did finish."""
-        actuals: Dict[int, Tuple[int, float]] = {}
-        for fragment in completed:
-            sites = fragment_sites.get(fragment.fragment_id, [])
-            for op in fragment.operators():
-                rows = sum(
-                    ctx.op_rows.get((id(op), site), 0) for site in sites
-                )
-                units = sum(
-                    ctx.op_units.get((id(op), site), 0.0) for site in sites
-                )
-                actuals[id(op)] = (rows, units)
-        return PartialExecution(
-            fragment_trees=list(completed), operator_actuals=actuals
-        )
 
     # -- fragment placement ---------------------------------------------------------
 
@@ -484,7 +448,6 @@ class ExecutionEngine:
             )
         target = sender.target
         width = fragment.root.width
-        root = fragment.root
         destinations = (
             list(ctx.alive_sites)
             if ctx.alive_sites is not None
@@ -526,26 +489,23 @@ class ExecutionEngine:
             copies = 1
         else:
             raise ExecutionError(f"cannot route to distribution {target}")
-        units = len(rows) * 2.0 * RPTC + network_units_for(
-            len(rows), width, copies
-        )
-        ctx.charge(root, site, units)
-        ctx.network_units += network_units_for(len(rows), width, copies)
+        units, network = charges.exchange_send(len(rows), width, copies)
+        ctx.charge(fragment.root, site, units)
+        ctx.network_units += network
         ctx.rows_shipped += len(rows) * copies
-        batches = (
-            max(1, len(rows) // NETWORK_ROWS_PER_MESSAGE) if rows else 0
-        )
         registry = get_registry()
         registry.inc(
             "exchange.rows", len(rows) * copies, exchange=sender.exchange_id
         )
         registry.inc(
             "exchange.bytes",
-            len(rows) * width * AFS * copies,
+            charges.buffer_bytes(len(rows), width) * copies,
             exchange=sender.exchange_id,
         )
         registry.inc(
-            "exchange.batches", batches * copies, exchange=sender.exchange_id
+            "exchange.batches",
+            charges.messages(len(rows)) * copies,
+            exchange=sender.exchange_id,
         )
 
     # -- task graph ------------------------------------------------------------------------
@@ -640,3 +600,31 @@ class ExecutionEngine:
             if variant_plan.scaling.get(id(op)) == SOURCE:
                 rows += ctx.op_units.get((id(op), site), 0.0) / RPTC
         return rows
+
+
+def _operator_totals(
+    fragments: Sequence[Fragment],
+    fragment_sites: Dict[int, List[int]],
+    ctx: ExecContext,
+) -> Tuple[Dict[int, Tuple[int, float]], Dict[int, int]]:
+    """id(operator) -> (output rows, work units), and -> input rows,
+    each summed over the sites its fragment ran on."""
+    actuals: Dict[int, Tuple[int, float]] = {}
+    rows_in: Dict[int, int] = {}
+    for fragment in fragments:
+        sites = fragment_sites.get(fragment.fragment_id, [])
+        for op in fragment.operators():
+            key = id(op)
+            rows = sum(ctx.op_rows.get((key, site), 0) for site in sites)
+            units = sum(ctx.op_units.get((key, site), 0.0) for site in sites)
+            actuals[key] = (rows, units)
+            rows_in[key] = sum(
+                ctx.op_rows_in.get((key, site), 0) for site in sites
+            )
+    return actuals, rows_in
+
+
+def _partial(completed, fragment_sites, ctx) -> PartialExecution:
+    """Per-operator actuals over the fragments that did finish."""
+    actuals, _ = _operator_totals(completed, fragment_sites, ctx)
+    return PartialExecution(list(completed), actuals)

@@ -1,8 +1,8 @@
 """The operator interpreter: executes one fragment's tree at one site.
 
 Operators consume and produce lists of Python tuples.  Every operator
-charges *work units* (the same RPTC/RCC/HAC constants the cost model uses)
-to the execution context; the simulated cluster turns those units into
+charges *work units*, computed by :mod:`repro.cost.charges` from the rows
+it saw, to the execution context; the simulated cluster turns them into
 simulated time.  The context enforces the runtime limit — the analogue of
 the paper's four-hour cap — and nested-loop joins pre-check their pair
 count so a doomed baseline plan (Q17/Q19/Q21 on IC) aborts immediately
@@ -14,17 +14,9 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.constants import (
-    AFS,
-    HAC,
-    NETWORK_ROWS_PER_MESSAGE,
-    NETWORK_UNITS_PER_BYTE,
-    NETWORK_UNITS_PER_MESSAGE,
-    RCC,
-    RPTC,
-)
 from repro.common.errors import ExecutionError, ExecutionTimeoutError
 from repro.common.ordering import NullsLast, ordering_key
+from repro.cost import charges
 from repro.exec.aggregates import AggregateEvaluator
 from repro.exec.fragments import PhysReceiver
 from repro.exec.physical import (
@@ -47,7 +39,7 @@ from repro.exec.physical import (
 from repro.obs.metrics import get_registry
 from repro.rel.expr import compile_expr
 from repro.rel.logical import JoinType
-from repro.storage.adapters import compile_pushdown, scan_charge
+from repro.storage.adapters import compile_pushdown
 from repro.storage.store import DataStore
 
 Row = Tuple
@@ -76,10 +68,10 @@ class ExecContext:
         #: metric-conservation property tests pin rows_in == sum(rows_out
         #: of children) per operator.
         self.op_rows_in: Dict[Tuple[int, int], int] = {}
-        #: Interpreter call stack of node ids (per site, execution is
+        #: Interpreter call stack of nodes (per site, execution is
         #: sequential) — how a child's output is attributed as its
         #: caller's input.
-        self._op_stack: List[int] = []
+        self._op_stack: List[PhysNode] = []
         #: The fragment currently being interpreted (set by the engine).
         self.current_fragment: Optional[int] = None
         #: (fragment id, site) -> peak buffered bytes (hash tables, sort
@@ -114,14 +106,33 @@ class ExecContext:
             if failover_owner(p, data.site_count, alive) == site
         ]
 
-    def charge(
-        self, node: PhysNode, site: int, units: float, rows: Optional[int] = None
-    ) -> None:
+    def run_operator(self, handlers, node: PhysNode, site: int, size=len):
+        """Interpret ``node`` with its handler in ``handlers``; account it.
+
+        The one bookkeeping path both backends share: ``size(output)`` rows
+        are recorded as the operator's output and as its caller's input.
+        """
+        handler = handlers.get(type(node))
+        if handler is None:
+            raise ExecutionError(f"no interpreter for {type(node).__name__}")
+        stack = self._op_stack
+        caller = stack[-1] if stack else None
+        stack.append(node)
+        try:
+            out = handler(node, site, self)
+        finally:
+            stack.pop()
+        rows = size(out)
+        key = (id(node), site)
+        self.op_rows[key] = self.op_rows.get(key, 0) + rows
+        if caller is not None:
+            self.record_input(caller, site, rows)
+        return out
+
+    def charge(self, node: PhysNode, site: int, units: float) -> None:
         self.total_units += units
         key = (id(node), site)
         self.op_units[key] = self.op_units.get(key, 0.0) + units
-        if rows is not None:
-            self.op_rows[key] = self.op_rows.get(key, 0) + rows
         if self.total_units > self.limit_units:
             raise ExecutionTimeoutError(
                 "simulated execution exceeded the runtime limit",
@@ -161,21 +172,7 @@ def _compiled(node: PhysNode, attr: str, factory: Callable):
 
 def execute_node(node: PhysNode, site: int, ctx: ExecContext) -> Rows:
     """Interpret ``node`` at ``site``, returning its output rows."""
-    handler = _HANDLERS.get(type(node))
-    if handler is None:
-        raise ExecutionError(f"no interpreter for {type(node).__name__}")
-    caller = ctx._op_stack[-1] if ctx._op_stack else None
-    ctx._op_stack.append(id(node))
-    try:
-        rows = handler(node, site, ctx)
-    finally:
-        ctx._op_stack.pop()
-    key = (id(node), site)
-    ctx.op_rows[key] = ctx.op_rows.get(key, 0) + len(rows)
-    if caller is not None:
-        in_key = (caller, site)
-        ctx.op_rows_in[in_key] = ctx.op_rows_in.get(in_key, 0) + len(rows)
-    return rows
+    return ctx.run_operator(_HANDLERS, node, site)
 
 
 # -- scans --------------------------------------------------------------------
@@ -193,71 +190,60 @@ def compiled_pushdown(node: PhysTableScan):
     return cached
 
 
-def adapter_scan(
-    node: PhysTableScan, data, partitions: Sequence[int]
-) -> Tuple[int, Rows]:
-    """Scan ``partitions`` through the table's adapter, honouring pushdown.
+def uses_adapter(node: PhysTableScan, data) -> bool:
+    """Whether ``node`` scans through its table's adapter: every
+    non-native table, and native ones with something pushed down."""
+    adapter = data.adapter
+    return adapter is not None and (
+        adapter.name != "native" or compiled_pushdown(node) is not None
+    )
 
-    Returns ``(scanned, rows)`` where ``scanned`` is the source-side row
-    count *before* any pushed filter/project/fetch applied — the number
-    the work-unit charge and the ``adapter.rows_scanned`` metric bill for.
-    Shared by the row and columnar backends so their simulated times and
-    scan traces stay bit-identical.
+
+def adapter_scan(node: PhysTableScan, site: int, ctx: ExecContext, data) -> Rows:
+    """Scan ``site``'s partitions through the adapter, honouring pushdown.
+
+    The charge and the ``adapter.rows_scanned`` metric bill the source
+    rows read *before* any pushed filter/project/fetch applied.  Shared
+    by the row and columnar backends so their simulated times and scan
+    traces stay bit-identical.
     """
     pushed = compiled_pushdown(node)
     adapter = data.adapter
-    scanned_total = 0
+    partitions = ctx.partitions_for(data, site)
+    scanned = 0
     rows: Rows = []
     for partition in partitions:
-        scanned, out = adapter.scan_partition(data, partition, pushed)
-        scanned_total += scanned
+        read, out = adapter.scan_partition(data, partition, pushed)
+        scanned += read
         rows.extend(out)
-    return scanned_total, rows
-
-
-def charge_adapter_scan(
-    node: PhysTableScan,
-    site: int,
-    ctx: ExecContext,
-    data,
-    scanned: int,
-    produced: int,
-    partitions: int,
-) -> None:
-    """Bill an adapter-backed scan and record its pushdown evidence."""
-    adapter = data.adapter
     ctx.record_input(node, site, scanned)
     ctx.charge(
         node,
         site,
-        scan_charge(adapter.costs, scanned, produced, max(1, partitions)),
+        charges.adapter_scan(
+            adapter.costs, scanned, len(rows), max(1, len(partitions))
+        ),
     )
     registry = get_registry()
     registry.inc(
         "adapter.rows_scanned", scanned, adapter=adapter.name, table=node.table
     )
     registry.inc(
-        "adapter.rows_out", produced, adapter=adapter.name, table=node.table
+        "adapter.rows_out", len(rows), adapter=adapter.name, table=node.table
     )
+    return rows
 
 
 def _exec_table_scan(node: PhysTableScan, site: int, ctx: ExecContext) -> Rows:
     data = ctx.store.table(node.table)
-    adapter = data.adapter
-    if (
-        adapter is None
-        or (adapter.name == "native" and compiled_pushdown(node) is None)
-    ):
-        # The historical fast path: native tables with nothing pushed are
-        # read straight out of the partition lists at RPTC per row.
-        rows: Rows = []
-        for partition in ctx.partitions_for(data, site):
-            rows.extend(data.partitions[partition])
-        ctx.charge(node, site, len(rows) * RPTC)
-        return rows
-    partitions = ctx.partitions_for(data, site)
-    scanned, rows = adapter_scan(node, data, partitions)
-    charge_adapter_scan(node, site, ctx, data, scanned, len(rows), len(partitions))
+    if uses_adapter(node, data):
+        return adapter_scan(node, site, ctx, data)
+    # The historical fast path: native tables with nothing pushed are
+    # read straight out of the partition lists.
+    rows: Rows = []
+    for partition in ctx.partitions_for(data, site):
+        rows.extend(data.partitions[partition])
+    ctx.charge(node, site, charges.table_scan(len(rows)))
     return rows
 
 
@@ -285,7 +271,7 @@ def _exec_index_scan(node: PhysIndexScan, site: int, ctx: ExecContext) -> Rows:
         rows = list(streams[0])
     else:
         rows = list(heapq.merge(*streams, key=sort_key))
-    ctx.charge(node, site, len(rows) * RPTC * 1.1)
+    ctx.charge(node, site, charges.index_scan(len(rows)))
     return rows
 
 
@@ -311,8 +297,8 @@ def _exec_receiver(node: PhysReceiver, site: int, ctx: ExecContext) -> Rows:
     else:
         rows = [row for stream in streams for row in stream]
     ctx.record_input(node, site, sum(len(s) for s in streams))
-    ctx.note_memory(site, len(rows) * node.width * AFS)
-    ctx.charge(node, site, len(rows) * RPTC)
+    ctx.note_memory(site, charges.buffer_bytes(len(rows), node.width))
+    ctx.charge(node, site, charges.receiver(len(rows)))
     return rows
 
 
@@ -323,7 +309,7 @@ def _exec_filter(node: PhysFilter, site: int, ctx: ExecContext) -> Rows:
     rows = execute_node(node.input, site, ctx)
     predicate = _compiled(node, "_predicate", lambda: compile_expr(node.condition))
     out = [row for row in rows if predicate(row)]
-    ctx.charge(node, site, len(rows) * (RPTC + RCC))
+    ctx.charge(node, site, charges.filter(len(rows)))
     return out
 
 
@@ -333,12 +319,12 @@ def _exec_project(node: PhysProject, site: int, ctx: ExecContext) -> Rows:
         node, "_fns", lambda: [compile_expr(e) for e in node.exprs]
     )
     out = [tuple(fn(row) for fn in fns) for row in rows]
-    ctx.charge(node, site, len(rows) * RPTC)
+    ctx.charge(node, site, charges.project(len(rows)))
     return out
 
 
 def _exec_values(node: PhysValues, site: int, ctx: ExecContext) -> Rows:
-    ctx.charge(node, site, len(node.rows) * RPTC)
+    ctx.charge(node, site, charges.values(len(node.rows)))
     return list(node.rows)
 
 
@@ -350,10 +336,9 @@ def _exec_nested_loop_join(
 ) -> Rows:
     left = execute_node(node.left, site, ctx)
     right = execute_node(node.right, site, ctx)
-    pairs = len(left) * len(right)
     # Pre-check: a hopeless nested-loop plan must abort without grinding
     # through the cross product (the paper's four-hour timeout analogue).
-    ctx.precheck(node, site, pairs * RCC)
+    ctx.precheck(node, site, charges.nested_loop_pairs(len(left), len(right)))
     condition = node.condition
     predicate = (
         _compiled(node, "_predicate", lambda: compile_expr(condition))
@@ -382,7 +367,7 @@ def _exec_nested_loop_join(
         elif join_type is JoinType.LEFT and not matched:
             out.append(left_row + pad)
     ctx.charge(
-        node, site, pairs * RCC + (len(left) + len(right) + len(out)) * RPTC
+        node, site, charges.nested_loop_join(len(left), len(right), len(out))
     )
     return out
 
@@ -421,7 +406,7 @@ def _exec_hash_join(node: PhysHashJoin, site: int, ctx: ExecContext) -> Rows:
         def probe_key(row: Row, lks=left_keys):
             return tuple(row[k] for k in lks)
 
-    ctx.note_memory(site, len(right) * node.right.width * AFS)
+    ctx.note_memory(site, charges.buffer_bytes(len(right), node.right.width))
     out: Rows = []
     join_type = node.join_type
     pad = (None,) * node.right.width
@@ -452,9 +437,11 @@ def _exec_hash_join(node: PhysHashJoin, site: int, ctx: ExecContext) -> Rows:
             out.append(left_row)
         elif join_type is JoinType.LEFT and not matched:
             out.append(left_row + pad)
-    units = (len(left) + len(right)) * (RCC + RPTC + HAC)
-    units += matches_scanned * RCC + len(out) * RPTC
-    ctx.charge(node, site, units)
+    ctx.charge(
+        node,
+        site,
+        charges.hash_join(len(left), len(right), matches_scanned, len(out)),
+    )
     return out
 
 
@@ -516,8 +503,7 @@ def _exec_merge_join(node: PhysMergeJoin, site: int, ctx: ExecContext) -> Rows:
             elif join_type is JoinType.LEFT and not matched:
                 out.append(left_row + pad)
             i += 1
-    units = (n_left + n_right) * (RCC + RPTC + HAC) + len(out) * RPTC
-    ctx.charge(node, site, units)
+    ctx.charge(node, site, charges.merge_join(n_left, n_right, len(out)))
     return out
 
 
@@ -539,43 +525,24 @@ def sort_rows(rows: Rows, keys: Sequence[Tuple[int, bool]]) -> Rows:
     return result
 
 
-def apply_offset_fetch(
-    rows: Rows, offset: Optional[int], fetch: Optional[int]
-) -> Tuple[Rows, int]:
-    """Slice ``rows`` by OFFSET/FETCH; also return the rows *consumed*.
-
-    The operator walks (and must be charged for) every row up to
-    ``offset + fetch``, including the ones the offset discards — only the
-    tail beyond the fetch boundary goes untouched.
-    """
-    skip = offset or 0
-    if fetch is None:
-        return rows[skip:], len(rows)
-    end = skip + fetch
-    return rows[skip:end], min(len(rows), end)
-
-
 def _exec_sort(node: PhysSort, site: int, ctx: ExecContext) -> Rows:
     rows = execute_node(node.input, site, ctx)
-    ctx.note_memory(site, len(rows) * node.width * AFS)
+    ctx.note_memory(site, charges.buffer_bytes(len(rows), node.width))
     out = sort_rows(rows, node.keys)
     if node.fetch is not None or node.offset is not None:
-        out, _ = apply_offset_fetch(out, node.offset, node.fetch)
-    import math
-
-    n = len(rows)
-    ctx.charge(node, site, n * RPTC + n * math.log2(n + 2) * RCC)
+        start, stop, _ = charges.offset_fetch(len(out), node.offset, node.fetch)
+        out = out[start:stop]
+    ctx.charge(node, site, charges.sort(len(rows)))
     return out
 
 
 def _exec_limit(node: PhysLimit, site: int, ctx: ExecContext) -> Rows:
     rows = execute_node(node.input, site, ctx)
-    out, consumed = apply_offset_fetch(rows, node.offset, node.fetch)
-    # Charge for every row consumed, not just those emitted: rows skipped
-    # by the offset were still read and counted, and the work units must
-    # agree between the row and columnar backends.
-    ctx.charge(node, site, consumed * RPTC)
-    return out
+    start, stop, consumed = charges.offset_fetch(
+        len(rows), node.offset, node.fetch
+    )
+    ctx.charge(node, site, charges.limit(consumed))
+    return rows[start:stop]
 
 
 # -- aggregates ----------------------------------------------------------------------
@@ -619,8 +586,8 @@ def _exec_hash_aggregate(
 ) -> Rows:
     rows = execute_node(node.input, site, ctx)
     out = hash_aggregate_rows(node, rows)
-    ctx.note_memory(site, len(out) * node.width * AFS)
-    ctx.charge(node, site, len(rows) * (RPTC + HAC) + len(out) * RPTC)
+    ctx.note_memory(site, charges.buffer_bytes(len(out), node.width))
+    ctx.charge(node, site, charges.hash_aggregate(len(rows), len(out)))
     return out
 
 
@@ -658,18 +625,8 @@ def _exec_sort_aggregate(
 ) -> Rows:
     rows = execute_node(node.input, site, ctx)
     out = sort_aggregate_rows(node, rows)
-    ctx.charge(node, site, len(rows) * (RPTC + RCC) + len(out) * RPTC)
+    ctx.charge(node, site, charges.sort_aggregate(len(rows), len(out)))
     return out
-
-
-# -- sender-side routing helper ----------------------------------------------------------
-
-
-def network_units_for(rows: int, width: int, copies: int = 1) -> float:
-    """Work units to serialise and ship ``rows`` to ``copies`` targets."""
-    byte_units = rows * width * AFS * NETWORK_UNITS_PER_BYTE
-    messages = max(1, rows // NETWORK_ROWS_PER_MESSAGE) if rows else 0
-    return copies * (byte_units + messages * NETWORK_UNITS_PER_MESSAGE)
 
 
 _HANDLERS = {

@@ -15,7 +15,6 @@ from repro.storage.adapters.base import (
     register_adapter,
     reset_adapter_state,
     sargable_bounds,
-    scan_charge,
 )
 from repro.storage.adapters.columnfile import ColumnFileAdapter
 from repro.storage.adapters.native import NativeAdapter
@@ -34,5 +33,4 @@ __all__ = [
     "register_adapter",
     "reset_adapter_state",
     "sargable_bounds",
-    "scan_charge",
 ]

@@ -18,7 +18,7 @@ owns how one table's partitions are *placed*, *scanned* and *charged*:
 
 The native in-memory engine is itself an adapter
 (:mod:`repro.storage.adapters.native`) that declines every capability and
-charges exactly the historical ``rows * RPTC``, keeping all pre-adapter
+charges exactly a native table scan, keeping all pre-adapter
 plans, costs and golden EXPLAIN snapshots byte-identical.
 """
 
@@ -28,7 +28,6 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.constants import RPTC
 from repro.common.errors import StorageError
 from repro.rel.expr import (
     BinaryOp,
@@ -46,8 +45,8 @@ from repro.storage.table import Row, TableData
 class AdapterCosts:
     """Per-adapter scan cost constants (the planner and engine share them).
 
-    The native defaults make :func:`scan_charge` collapse to the
-    historical ``scanned * RPTC``.
+    The native defaults make :func:`repro.cost.charges.adapter_scan`
+    collapse to a native table scan's charge.
     """
 
     #: Multiplier on the per-tuple CPU constant for decoding one row.
@@ -58,24 +57,6 @@ class AdapterCosts:
     request_units: float = 0.0
     #: Network units per row *returned* by the source (shipping).
     network_units_per_row: float = 0.0
-
-
-def scan_charge(
-    costs: AdapterCosts, scanned: int, produced: int, requests: int = 1
-) -> float:
-    """Execution-side work units for one adapter scan.
-
-    ``scanned`` counts source rows actually read (post zone-map pruning),
-    ``produced`` the rows surviving pushed filter/project/fetch — so
-    pushdown shows up as ``produced < scanned`` with the shipping term
-    charged only on ``produced``.
-    """
-    return (
-        scanned * RPTC * costs.scan_cpu_factor
-        + scanned * costs.io_units_per_row
-        + produced * costs.network_units_per_row
-        + requests * costs.request_units
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.common.config import PRESETS
 from repro.common.constants import NETWORK_UNITS_PER_MESSAGE, RPTC
 from repro.common.errors import StorageError
 from repro.core.cluster import IgniteCalciteCluster
+from repro.cost import charges
 from repro.storage.adapters import (
     AdapterCosts,
     ColumnFileAdapter,
@@ -24,7 +25,6 @@ from repro.storage.adapters import (
     adapter_names,
     compile_pushdown,
     create_adapter,
-    scan_charge,
 )
 from repro.storage.adapters.columnfile import ROW_GROUP_ROWS
 from repro.storage.adapters.remote import GATEWAY_SITE
@@ -71,21 +71,23 @@ class TestCapabilities:
             assert adapter.supports_limit_pushdown is l
 
     def test_native_costs_collapse_to_historical_charge(self):
-        assert scan_charge(NativeAdapter.costs, 100, 40) == 100 * RPTC
+        assert charges.adapter_scan(NativeAdapter.costs, 100, 40) == 100 * RPTC
 
     def test_columnfile_charge_decodes_cheaper_but_pays_io(self):
-        charge = scan_charge(ColumnFileAdapter.costs, 100, 40)
+        charge = charges.adapter_scan(ColumnFileAdapter.costs, 100, 40)
         assert charge == 100 * RPTC * 0.5 + 100 * 0.4
 
     def test_remote_charge_includes_round_trip_and_shipping(self):
-        charge = scan_charge(RemoteCatalogAdapter.costs, 100, 40, requests=2)
+        charge = charges.adapter_scan(
+            RemoteCatalogAdapter.costs, 100, 40, requests=2
+        )
         assert charge == (
             100 * RPTC + 40 * 2.0 + 2 * NETWORK_UNITS_PER_MESSAGE
         )
 
     def test_pushdown_makes_remote_cheaper(self):
-        full = scan_charge(RemoteCatalogAdapter.costs, 100, 100)
-        pushed = scan_charge(RemoteCatalogAdapter.costs, 100, 5)
+        full = charges.adapter_scan(RemoteCatalogAdapter.costs, 100, 100)
+        pushed = charges.adapter_scan(RemoteCatalogAdapter.costs, 100, 5)
         assert pushed < full
 
 
